@@ -1,10 +1,11 @@
 package gossip
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation section plus the DESIGN.md ablations. Each benchmark runs the
-// real experiment at a bench-sized scale and reports the paper's metric
-// via b.ReportMetric, so `go test -bench .` regenerates the headline
-// numbers. The full-scale figures come from `go run ./cmd/figures`.
+// evaluation section plus the ablation studies (ExperimentIDs lists
+// them all). Each benchmark runs the real experiment at a bench-sized
+// scale and reports the paper's metric via b.ReportMetric, so
+// `go test -bench .` regenerates the headline numbers. The full-scale
+// figures come from `go run ./cmd/figures`.
 
 import (
 	"fmt"

@@ -1,6 +1,6 @@
 // Command figures regenerates the tables and figures of the paper's
-// evaluation section (plus the DESIGN.md ablations) as aligned text
-// tables, ASCII plots and optional CSV files.
+// evaluation section (plus the ablation studies of gossip.ExperimentIDs)
+// as aligned text tables, ASCII plots and optional CSV files.
 //
 // Examples:
 //

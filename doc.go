@@ -21,9 +21,9 @@
 //   - RunMemoryRobustness — the §5 crash-failure experiment.
 //
 // Every table and figure of the paper's evaluation can be regenerated via
-// Experiment (or the cmd/figures binary, or `go test -bench Figure`); see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-// results against the paper's.
+// Experiment (or the cmd/figures binary, or `go test -bench Figure`).
+// ExperimentIDs is the experiment index, and each report's notes set the
+// paper's result beside the measured one.
 //
 // All experiment execution flows through one scenario-sweep engine
 // (internal/runner): an evaluation grid — algorithm × graph model ×
@@ -278,6 +278,26 @@
 //
 // All entry points take explicit seeds and produce bit-identical results
 // for a seed, independent of GOMAXPROCS.
+//
+// # The message tracker
+//
+// The gossiping algorithms (push–pull, fast-gossiping, the memory model)
+// record who knows which original message in an exact tracker: an n×n bit
+// matrix, row v the messages node v knows, double-buffered so that every
+// transfer in a step reads the step's start state. Rows only ever grow,
+// which makes the double buffer lazy: a stale row of the next state is a
+// subset of the live row, and equal bit counts mean the two are in sync.
+// No step copies the matrix. A row is copied on its first write in a
+// step, or at the step's end if nothing reached it, and never if it did
+// not change in the step before. Each buffer keeps a bit count per row,
+// so a node's knowledge is O(1) to read and a transfer into a full row
+// touches no row memory, and a map of each row's non-zero words, so a
+// transfer from a sparse row reads only those words. All unions run
+// through one branch-free, word-parallel kernel. The concurrency contract
+// is the transports' receiver sharding: transfers into distinct nodes may
+// run in parallel, and transfers into one node come from one goroutine at
+// a time. The exact tracker costs 2·n²/8 bytes; the "sampled" estimator
+// tracks k sampled messages in Θ(n·k) bits for sizes beyond it.
 //
 // # Enforced invariants
 //

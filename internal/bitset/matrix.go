@@ -66,15 +66,40 @@ func (m *Matrix) CopyRowsFrom(o *Matrix, lo, hi int) {
 // set bits. m and src may be the same matrix (i != j required in that case
 // for a meaningful result, though i == j is harmless and returns 0).
 func (m *Matrix) UnionRow(i int, src *Matrix, j int) int {
+	return unionWords(m.words[i*m.wpr:(i+1)*m.wpr], src.words[j*src.wpr:(j+1)*src.wpr])
+}
+
+// sparseEighths is the densest source row, in eighths of its words
+// non-zero, that UnionRowMasked still unions word by word through its
+// mask. Above it the branch-free UnionRow over the whole row is faster.
+const sparseEighths = 5
+
+// UnionRowMasked is UnionRow for a source row whose non-zero words are
+// known: row j of mask has one bit per word of src's row j and must have
+// set at least the bits of that row's non-zero words. When the mask marks
+// at most sparseEighths/8 of the row's words, only the marked words are
+// read; otherwise it is UnionRow. Either way the result equals UnionRow's.
+func (m *Matrix) UnionRowMasked(i int, src *Matrix, j int, mask *Matrix) int {
+	if mask.width != src.wpr {
+		panic("bitset: mask width does not match the row's words in UnionRowMasked")
+	}
+	mw := mask.words[j*mask.wpr : (j+1)*mask.wpr]
+	marked := 0
+	for _, w := range mw {
+		marked += popcount(w)
+	}
+	if 8*marked > sparseEighths*src.wpr {
+		return m.UnionRow(i, src, j)
+	}
 	dst := m.words[i*m.wpr : (i+1)*m.wpr]
 	s := src.words[j*src.wpr : (j+1)*src.wpr]
 	added := 0
-	for k := range dst {
-		old := dst[k]
-		nw := old | s[k]
-		if nw != old {
-			added += popcount(nw &^ old)
-			dst[k] = nw
+	for mi, w := range mw {
+		for w != 0 {
+			k := mi*wordBits + bits.TrailingZeros64(w)
+			w &= w - 1
+			added += popcount(s[k] &^ dst[k])
+			dst[k] |= s[k]
 		}
 	}
 	return added
@@ -82,8 +107,10 @@ func (m *Matrix) UnionRow(i int, src *Matrix, j int) int {
 
 // UnionSet ors the standalone set s into row i and returns newly set bits.
 func (m *Matrix) UnionSet(i int, s *Set) int {
-	row := m.Row(i)
-	return row.UnionWith(s)
+	if s.n != m.width {
+		panic("bitset: width mismatch in UnionSet")
+	}
+	return unionWords(m.words[i*m.wpr:(i+1)*m.wpr], s.words)
 }
 
 // Clear zeroes the whole matrix.

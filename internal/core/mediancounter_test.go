@@ -51,8 +51,8 @@ func TestMedianCounterDensityInsensitiveAtSimulableScale(t *testing.T) {
 	// moderate degree. That separation lives in ω(·) territory: at
 	// simulable sizes the measured costs coincide within noise, and THAT
 	// is the property this test pins (so a regression that silently makes
-	// one topology much more expensive is caught). EXPERIMENTS.md
-	// discusses the asymptotic claim.
+	// one topology much more expensive is caught). exp.AblationMedianCounter
+	// reports the measured costs next to the asymptotic claim.
 	n := 4096
 	sparse := testGraph(n, 71)
 	complete := graph.Complete(n)

@@ -13,9 +13,10 @@ import (
 // node for the simple push–pull baseline, Algorithm 1 (fast-gossiping) and
 // Algorithm 2 (memory model), on G(n, log²n/n), as a function of the graph
 // size. The paper sweeps 10³–10⁶; the exact n² message tracking bounds the
-// default grid at 32768 (see DESIGN.md §4 — the claims are about shape,
-// which is established well before that point). Algorithm 2 runs with a
-// given leader, matching the flat ≈5-messages series of the paper.
+// default grid at 32768 (the tracker holds 2·n² bits; the claims are
+// about shape, which is established well before that point). Algorithm 2
+// runs with a given leader, matching the flat ≈5-messages series of the
+// paper.
 func Figure1(cfg Config) *Report {
 	sizes := cfg.sizes(
 		[]int{1024, 2048, 4096, 8192, 16384, 32768},
@@ -37,7 +38,7 @@ func Figure1(cfg Config) *Report {
 		},
 		Notes: []string{
 			"paper: PushPull grows ~log n; FastGossiping below it with a widening gap; Memory bounded by ~5, flat in n",
-			"metric: data-carrying channel uses per node (push-pull exchange counted once); see DESIGN.md §3",
+			"metric: data-carrying channel uses per node (push-pull exchange counted once), as in paper §2",
 		},
 	}
 

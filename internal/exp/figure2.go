@@ -92,7 +92,7 @@ func Figure2(cfg Config) *Report {
 		},
 		Notes: []string{
 			"paper (n=10⁶): ratio stays in [0, ~2.5]; zero means no healthy message was lost beyond the F failed ones",
-			"failures are injected after Phase I and before Phase II, leader excluded (DESIGN.md §3)",
+			"failures are injected after Phase I and before Phase II, leader excluded (paper §5)",
 		},
 	}
 	r.Series = []asciiplot.Series{robustnessSweep(cfg, r, n, reps, failures)}

@@ -64,7 +64,8 @@ func (s *Sampled) K() int { return len(s.ids) }
 // IDs returns the sampled message ids (ascending). Do not modify.
 func (s *Sampled) IDs() []int32 { return s.ids }
 
-// BeginRound snapshots the state, exactly as Full.BeginRound.
+// BeginRound snapshots the state by copying the whole n×K matrix. K is
+// small, so the copy costs about as much as one round of transfers.
 func (s *Sampled) BeginRound() {
 	if s.inRound {
 		panic("msg: BeginRound while a round is open")

@@ -10,7 +10,7 @@
 //     channel index (Round), the per-node RNG streams and failure mask
 //     (Net), the bounded link memory used by open-avoid (LinkMemory), and
 //     the transmission meter whose counting conventions are spelled out
-//     in DESIGN.md (Meter). Algorithms that need full control of a step
+//     on its type (Meter). Algorithms that need full control of a step
 //     (the §4 memory model's long-steps) drive this layer directly.
 //
 //   - The transport seam: per-node protocol state machines (Machine)
@@ -286,7 +286,7 @@ func (lm *LinkMemory) Clear() {
 }
 
 // Meter counts the communication complexity of a run under the conventions
-// of Berenbrink et al. [5], which the paper adopts (see DESIGN.md §3):
+// of Berenbrink et al. [5], which the paper adopts with its model (§2):
 //
 //   - Transmissions: data-carrying channel uses. Sending one combined
 //     packet through an open channel counts once no matter how many
